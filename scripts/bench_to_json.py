@@ -2,12 +2,12 @@
 """Normalise a benchmark's raw measurement dump into a ``BENCH_*.json`` artifact.
 
 Benchmarks that measure wall-clock themselves (e.g.
-``benchmarks/test_shard_scaling.py`` with ``SHARD_SCALING_JSON`` set) write a
+``benchmarks/test_serve_scaling.py`` with ``SERVE_SCALING_JSON`` set) write a
 flat JSON object of raw numbers.  CI runs this script to wrap those numbers
 in a stable artifact envelope::
 
-    python scripts/bench_to_json.py /tmp/shard_scaling.raw.json \
-        --name shard_scaling --out BENCH_shard_scaling.json
+    python scripts/bench_to_json.py /tmp/serve_scaling.raw.json \
+        --name serve_scaling --out BENCH_serve_scaling.json
 
 The envelope carries a schema version and the producing commit (when git is
 available), so downstream tooling can diff artifacts across runs without

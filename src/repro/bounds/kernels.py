@@ -1,7 +1,7 @@
 """Compiled hot kernels over CSR adjacency arrays.
 
 The three bound-maintenance loops that dominate CPU once the oracle is
-cheap or sharded — the Tri frontier sweep, the SPLUB Dijkstra relaxation,
+cheap — the Tri frontier sweep, the SPLUB Dijkstra relaxation,
 and the LAESA/sketch landmark-matrix sweep — are implemented here twice:
 
 * a **Numba** backend (``@njit``-compiled, used automatically when numba
@@ -11,9 +11,9 @@ and the LAESA/sketch landmark-matrix sweep — are implemented here twice:
   *byte-identical* results (the CI parity job pins this).
 
 Every kernel consumes the ``(indptr, indices, weights)`` CSR triple served
-by :meth:`repro.core.partial_graph.PartialDistanceGraph.csr_arrays` (which
-is the shared-memory :meth:`repro.core.csr_store.CSRStore.csr` view when a
-store is bound) instead of rebuilding per-call flat mirrors.
+by :meth:`repro.core.partial_graph.PartialDistanceGraph.csr_arrays` (an
+epoch-keyed mirror of the known edges) instead of rebuilding per-call flat
+mirrors.
 
 Backend selection happens at import: set ``REPRO_NO_JIT=1`` to force the
 NumPy fallback even when numba is installed (the CI matrix runs the suite

@@ -35,30 +35,13 @@ from repro.harness import (
     run_experiment,
 )
 
-# (factory, fixed kwargs) per dataset name.  The factories are module-level
-# functions, so the resulting SpaceHandle pickles by reference — which is
-# what lets shard subprocesses and oracle worker processes rebuild the same
-# space without shipping distance matrices around.
-DATASET_BUILDERS = {
-    "sf": (sf_poi_space, {}),
-    "sf-euclid": (sf_poi_space, {"road": False}),
-    "urbangb": (urbangb_space, {}),
-    "urbangb-euclid": (urbangb_space, {"road": False}),
-    "flickr": (flickr_space, {}),
-}
-
 DATASETS = {
-    name: (lambda n, seed, _f=factory, _kw=extra: _f(n, seed=seed, **_kw))
-    for name, (factory, extra) in DATASET_BUILDERS.items()
+    "sf": lambda n, seed: sf_poi_space(n, seed=seed),
+    "sf-euclid": lambda n, seed: sf_poi_space(n, seed=seed, road=False),
+    "urbangb": lambda n, seed: urbangb_space(n, seed=seed),
+    "urbangb-euclid": lambda n, seed: urbangb_space(n, seed=seed, road=False),
+    "flickr": lambda n, seed: flickr_space(n, seed=seed),
 }
-
-
-def dataset_handle(name: str, n: int, seed: int):
-    """A picklable :class:`~repro.spaces.handles.SpaceHandle` for a dataset."""
-    from repro.spaces.handles import handle_for
-
-    factory, extra = DATASET_BUILDERS[name]
-    return handle_for(factory, n, seed=seed, **extra)
 
 ALGORITHM_PARAMS = {
     "knng": ("k",),
@@ -273,7 +256,7 @@ def _cmd_indexes(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Run a persistent proximity engine behind a local or TCP socket."""
-    from repro.service import ProximityEngine, ProximityServer
+    from repro.service import AsyncProximityServer, ProximityEngine
 
     if args.transport == "unix" and not args.socket:
         print("error: --transport unix requires --socket", file=sys.stderr)
@@ -282,73 +265,38 @@ def _cmd_serve(args) -> int:
         print("error: --transport tcp requires --port", file=sys.stderr)
         return 2
 
-    sharded = args.shards > 1
-    if sharded:
-        from repro.service import ShardedEngine
+    space = _build_space(args)
+    if args.mutations:
+        from repro.dynamic import DynamicObjectSet
 
-        if args.snapshot_path or args.snapshot_every:
-            print(
-                "error: --snapshot-path/--snapshot-every are not supported "
-                "with --shards > 1 (use the snapshot op against the running "
-                "coordinator instead)",
-                file=sys.stderr,
-            )
-            return 2
-        engine = ShardedEngine(
-            dataset_handle(args.dataset, args.n, args.seed),
-            num_shards=args.shards,
-            provider=args.provider,
-            dynamic=args.mutations,
-        )
-        if args.restore_from:
-            engine.restore(args.restore_from)
-        backend = engine
-        n = engine.n
-    else:
-        space = _build_space(args)
-        if args.mutations:
-            from repro.dynamic import DynamicObjectSet
-
-            space = DynamicObjectSet.wrap(space)
-        engine = ProximityEngine.for_space(
-            space,
-            provider=args.provider,
-            job_workers=args.job_workers,
-            snapshot_path=args.snapshot_path,
-            snapshot_every=args.snapshot_every,
-            restore_from=args.restore_from,
-            weak_oracle=args.weak_oracle,
-        )
-        backend = engine
-        n = space.n
-
-    if args.transport == "tcp" or sharded:
-        from repro.service import AsyncProximityServer
-
-        server = AsyncProximityServer(
-            backend,
-            socket_path=args.socket if args.transport == "unix" else None,
-            host=args.host,
-            port=args.port if args.transport == "tcp" else None,
-        )
-        server.start()
-        where = (
-            f"{args.host or '127.0.0.1'}:{server.port}"
-            if args.transport == "tcp"
-            else args.socket
-        )
-    else:
-        server = ProximityServer(engine, args.socket)
-        where = args.socket
-    shard_note = f", shards={args.shards}" if sharded else ""
+        space = DynamicObjectSet.wrap(space)
+    engine = ProximityEngine.for_space(
+        space,
+        provider=args.provider,
+        job_workers=args.job_workers,
+        snapshot_path=args.snapshot_path,
+        snapshot_every=args.snapshot_every,
+        restore_from=args.restore_from,
+        weak_oracle=args.weak_oracle,
+    )
+    server = AsyncProximityServer(
+        engine,
+        socket_path=args.socket if args.transport == "unix" else None,
+        host=args.host,
+        port=args.port if args.transport == "tcp" else None,
+    )
+    server.start()
+    where = (
+        f"{args.host or '127.0.0.1'}:{server.port}"
+        if args.transport == "tcp"
+        else args.socket
+    )
     print(
-        f"serving {args.dataset} (n={n}, provider={args.provider}"
-        f"{shard_note}) on {args.transport} {where}"
+        f"serving {args.dataset} (n={space.n}, provider={args.provider}) "
+        f"on {args.transport} {where}"
     )
     try:
         if args.serve_seconds is not None:
-            if isinstance(server, ProximityServer):
-                server.start()
             time.sleep(args.serve_seconds)
         else:  # pragma: no cover - interactive path
             server.serve_forever()
@@ -357,20 +305,11 @@ def _cmd_serve(args) -> int:
     finally:
         server.close()
         engine.close()
-    if sharded:
-        agg = engine.last_stats or {}
-        print(
-            f"served {agg.get('jobs_submitted', 0)} jobs, "
-            f"{agg.get('oracle_calls', 0)} oracle calls, "
-            f"{agg.get('warm_resolutions', 0)} warm resolutions "
-            f"across {args.shards} shards"
-        )
-    else:
-        stats = engine.snapshot_stats()
-        print(
-            f"served {stats.jobs_submitted} jobs, {stats.oracle_calls} oracle "
-            f"calls, {stats.warm_resolutions} warm resolutions"
-        )
+    stats = engine.snapshot_stats()
+    print(
+        f"served {stats.jobs_submitted} jobs, {stats.oracle_calls} oracle "
+        f"calls, {stats.warm_resolutions} warm resolutions"
+    )
     return 0
 
 
@@ -432,25 +371,6 @@ def _cmd_stats(args) -> int:
     stats = response["stats"]
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-    if stats.get("sharded"):
-        rows = [
-            [key, stats[key]]
-            for key in sorted(stats)
-            if key not in ("shards", "aggregate", "plan", "store", "sharded")
-        ]
-        aggregate = stats.get("aggregate", {})
-        rows += [[f"aggregate.{key}", aggregate[key]] for key in sorted(aggregate)]
-        for shard_row in stats.get("shards", []):
-            prefix = f"shard{shard_row.get('shard', '?')}"
-            for key in ("jobs_submitted", "oracle_calls", "warm_resolutions",
-                        "graph_edges", "mutations_applied",
-                        "subscriptions_active"):
-                if key in shard_row:
-                    rows.append([f"{prefix}.{key}", shard_row[key]])
-        print_table(
-            ["stat", "value"], rows, title=f"sharded stats ({args.socket})"
-        )
         return 0
     resolver = stats.pop("resolver", {})
     rows = [[key, stats[key]] for key in sorted(stats)]
@@ -757,9 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=None,
                          help="TCP port for --transport tcp (0 = ephemeral, "
                          "printed at startup)")
-    serve_p.add_argument("--shards", type=_workers_arg, default=1,
-                         help="partition the dataset across this many "
-                         "shard processes sharing one resolved-edge store")
     serve_p.add_argument("--snapshot-path", dest="snapshot_path",
                          type=_cache_path_arg, default=None,
                          help="warm-state snapshot file (written periodically "

@@ -21,7 +21,6 @@ from repro.core.exceptions import (
     SolverError,
     UnknownDistanceError,
 )
-from repro.core.csr_store import CSRStore
 from repro.core.locking import ReadWriteLock
 from repro.core.oracle import (
     DistanceOracle,
@@ -51,7 +50,6 @@ __all__ = [
     "BoundProvider",
     "Bounds",
     "BudgetExceededError",
-    "CSRStore",
     "ColumnSet",
     "ConfigurationError",
     "DistanceOracle",

@@ -164,7 +164,6 @@ class DistanceOracle:
         self._calls = 0
         self._cache_hits = 0
         self._simulated_seconds = 0.0
-        self._batch_requests = 0
         self._retries = 0
         self._timeouts = 0
         self._listeners: List[Callable[[int, int, float], None]] = []
@@ -235,7 +234,6 @@ class DistanceOracle:
         self._calls = 0
         self._cache_hits = 0
         self._simulated_seconds = 0.0
-        self._batch_requests = 0
         self._retries = 0
         self._timeouts = 0
 
@@ -366,39 +364,9 @@ class DistanceOracle:
 
         Each uncached element is charged as an individual call — this is the
         serial reference semantics that :class:`repro.exec.BatchOracle`
-        reproduces concurrently.  Contrast with :meth:`batch`, which models
-        a distance-matrix endpoint charging one latency unit per request.
+        reproduces concurrently.
         """
         return [self(i, j) for i, j in pairs]
-
-    def batch(self, pairs: Iterable[Pair]) -> list[float]:
-        """Resolve many pairs in one logical request.
-
-        Real distance services (maps distance-matrix endpoints, batched
-        embedding comparisons) accept many elements per request; callers
-        that can batch should.  Accounting: every *uncached* element is
-        charged as usual, but the whole batch adds only **one** unit of
-        simulated latency — the per-request cost model of such APIs.
-        Returns the distances in input order.
-        """
-        results: list[float] = []
-        fresh = 0
-        for i, j in pairs:
-            before = self._calls
-            results.append(self(i, j))
-            if self._calls != before:
-                fresh += 1
-                # Refund the per-call latency; the batch is priced once.
-                self._simulated_seconds -= self._cost_per_call
-        if fresh:
-            self._simulated_seconds += self._cost_per_call
-            self._batch_requests += 1
-        return results
-
-    @property
-    def batch_requests(self) -> int:
-        """Number of non-empty batched requests issued so far."""
-        return self._batch_requests
 
     def peek(self, i: int, j: int) -> float | None:
         """Return the cached distance for ``(i, j)`` or None, free of charge."""

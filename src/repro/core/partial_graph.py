@@ -39,7 +39,6 @@ recompute of surviving state.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -102,9 +101,6 @@ class PartialDistanceGraph:
         self.edge_mirror_appends = 0
         self.edge_mirror_compactions = 0
         self.csr_mirror_rebuilds = 0
-        # Optional bound CSRStore (attach_store): rows [0, num_edges) of the
-        # store correspond 1:1, in order, to this graph's edges.
-        self._store = None
         if registry is not None:
             self.instrument(registry)
 
@@ -232,77 +228,9 @@ class PartialDistanceGraph:
         self._node_epochs[key[1]] += 1
         if self._edge_buf is not None:
             self._append_edge_row(key[0], key[1], distance)
-        store = self._store
-        if store is not None and store.writable:
-            store.append(key[0], key[1], distance)
         for listener in self._edge_listeners:
             listener(key[0], key[1], distance)
         return True
-
-    # -- shared-memory store binding ----------------------------------------
-
-    @property
-    def store(self):
-        """The bound :class:`~repro.core.csr_store.CSRStore`, or ``None``."""
-        return self._store
-
-    def attach_store(self, store) -> None:
-        """Bind a :class:`~repro.core.csr_store.CSRStore` to this graph.
-
-        After binding, store rows ``[0, num_edges)`` mirror this graph's
-        edges in insertion order: a *writable* store receives every future
-        :meth:`add_edge` as an append (and is backfilled with the graph's
-        current edges if it is empty), while a *read-only* store is the
-        source the graph replays from — new rows published by the writing
-        process land here via :meth:`sync_from_store`.  Store edges absent
-        from the graph are merged in first; a weight conflict raises
-        ``ValueError`` and leaves no binding.
-        """
-        if self._store is not None:
-            raise ValueError("graph already has a bound store")
-        if store.n != self._n:
-            raise ValueError(
-                f"store covers {store.n} objects but the graph has {self._n}"
-            )
-        backfill = store.writable and store.num_edges == 0 and self._weights
-        for i, j, w in store.iter_edges():
-            existing = self._weights.get(canonical_pair(i, j))
-            if existing is not None and existing != w:
-                raise ValueError(
-                    f"store edge ({i}, {j}) has weight {w} but the graph "
-                    f"knows {existing}"
-                )
-        for i, j, w in store.iter_edges():
-            self.add_edge(i, j, w)
-        if backfill:
-            for (i, j), w in self._weights.items():
-                store.append(i, j, w)
-        if store.num_edges != len(self._weights):
-            raise ValueError(
-                f"cannot bind: store holds {store.num_edges} edges but the "
-                f"graph has {len(self._weights)} (read-only stores must "
-                "cover every graph edge)"
-            )
-        self._store = store
-
-    def sync_from_store(self) -> int:
-        """Replay rows a writer published since the last sync; return the count.
-
-        Only meaningful on a graph bound to a *read-only* store (shard
-        processes attached to another process's store); a writable store is
-        fed by this graph and is already current.
-        """
-        store = self._store
-        if store is None:
-            raise ValueError("no store bound to this graph")
-        if store.writable:
-            return 0
-        store.refresh()
-        added = 0
-        for i, j, w in islice(store.iter_edges(), len(self._weights), None):
-            if self.add_edge(i, j, w):
-                added += 1
-        return added
 
     def subscribe_edges(self, listener: Callable[[int, int, float], None]) -> None:
         """Register ``listener(i, j, distance)`` to run after every new edge.
@@ -375,13 +303,6 @@ class PartialDistanceGraph:
 
     # -- mutation (tombstoning and growth) -----------------------------------
 
-    def _check_mutable(self) -> None:
-        if self._store is not None:
-            raise ValueError(
-                "cannot mutate a graph bound to a CSRStore (the store is "
-                "append-only shared memory); call detach_store() first"
-            )
-
     def remove_node(self, i: int) -> int:
         """Tombstone object ``i``, dropping only its incident edges.
 
@@ -392,7 +313,6 @@ class PartialDistanceGraph:
         the number of edges dropped.
         """
         self._check_index(i)
-        self._check_mutable()
         if not self._alive[i]:
             raise InvalidObjectError(i, self._n)
         neighbours = list(self._adjacency[i])
@@ -420,7 +340,6 @@ class PartialDistanceGraph:
         """Append ``count`` fresh live object slots; return the new ``n``."""
         if count <= 0:
             raise ValueError("grow count must be positive")
-        self._check_mutable()
         self._adjacency.extend([] for _ in range(count))
         self._adj_weights.extend([] for _ in range(count))
         self._node_mirror.extend([None] * count)
@@ -438,29 +357,12 @@ class PartialDistanceGraph:
         any cache that ever mentioned the dead incarnation notices.
         """
         self._check_index(i)
-        self._check_mutable()
         if self._alive[i]:
             raise ValueError(f"object {i} is already alive")
         self._alive[i] = True
         self._dead_count -= 1
         self._node_epochs[i] += 1
         self._epoch += 1
-
-    def detach_store(self) -> object:
-        """Unbind and return the CSRStore so the graph becomes mutable.
-
-        The store keeps whatever rows it holds (append-only history); the
-        graph falls back to its local mirrors, rebuilding the flat edge
-        buffer from the weights dict on next use if it was never
-        materialised locally.
-        """
-        store = self._store
-        if store is None:
-            raise ValueError("no store bound to this graph")
-        self._store = None
-        self._edge_view = None
-        self._csr_mirror = None
-        return store
 
     def restore_mutation_state(
         self,
@@ -591,15 +493,8 @@ class PartialDistanceGraph:
         *extended in place by each insert* (:attr:`edge_mirror_appends`) —
         an epoch bump never triggers a redundant whole-mirror rebuild, and
         read-only workloads leave both counters untouched.
-
-        When a store is bound and current (row count equals the graph's
-        edge count) the store's columns are returned directly — zero-copy
-        for a single-segment store.
         """
         m = len(self._weights)
-        store = self._store
-        if store is not None and store.num_edges == m:
-            return store.edge_columns()
         if self._edge_buf is None:
             self.edge_mirror_rebuilds += 1
             self._materialise_edge_buf()
@@ -615,16 +510,10 @@ class PartialDistanceGraph:
 
         ``indices[indptr[u]:indptr[u + 1]]`` are the sorted known
         neighbours of ``u`` with matching ``weights`` — the layout the
-        compiled kernels in :mod:`repro.bounds.kernels` consume.  Served
-        straight from a bound-and-current :class:`~repro.core.csr_store.
-        CSRStore` (:meth:`~repro.core.csr_store.CSRStore.csr`); otherwise a
-        local mirror keyed on :attr:`epoch` is rebuilt vectorised from the
-        flat edge columns.  Do not mutate the arrays.
+        compiled kernels in :mod:`repro.bounds.kernels` consume.  A mirror
+        keyed on :attr:`epoch` is rebuilt vectorised from the flat edge
+        columns.  Do not mutate the arrays.
         """
-        m = len(self._weights)
-        store = self._store
-        if store is not None and store.num_edges == m:
-            return store.csr()
         mirror = self._csr_mirror
         if mirror is None or mirror[0] != self._epoch:
             self.csr_mirror_rebuilds += 1

@@ -68,10 +68,10 @@ class GraphArchive:
 class ColumnSet:
     """Raw edge columns of an archive, before any graph is rebuilt.
 
-    The columnar twin of :class:`GraphArchive`:
-    :class:`~repro.core.csr_store.CSRStore` loads archives through this
-    (no per-edge Python objects), while :func:`load_archive` layers the
-    full replay-into-a-graph validation on top.
+    The columnar twin of :class:`GraphArchive`: :func:`load_columns`
+    validates archives in this form (no per-edge Python objects), and
+    :func:`load_archive` layers the full replay-into-a-graph validation on
+    top.
     """
 
     n: int
@@ -99,8 +99,8 @@ def save_columns(
     """Write raw edge columns as a v2 archive.
 
     The per-node epoch counters are derived from the columns (node epoch ==
-    known degree), so a store and a graph holding the same edge set emit
-    identical archives.  ``metadata`` must be JSON-serialisable.
+    known degree), so two writers holding the same edge set in the same
+    order emit identical archives.  ``metadata`` must be JSON-serialisable.
     """
     i_arr = np.asarray(i, dtype=np.int64)
     j_arr = np.asarray(j, dtype=np.int64)

@@ -76,12 +76,10 @@ class ResolverStats:
     array kernel, and ``dijkstra_runs`` the shortest-path trees SPLUB-style
     providers actually computed (synced by :meth:`SmartResolver.collect_stats`).
 
-    The tier counters split resolution cost by oracle tier:
-    ``strong_calls`` mirrors ``oracle_resolutions`` (every charged exact
-    call is a strong call — in a single-oracle run the two are equal by
-    construction), while ``weak_calls`` and ``weak_band`` are synced from a
-    :class:`~repro.core.tiering.WeakBoundProvider` when one is active —
+    The weak-tier counters ``weak_calls`` and ``weak_band`` are synced from
+    a :class:`~repro.core.tiering.WeakBoundProvider` when one is active —
     charged estimate calls and bound queries the error band tightened.
+    Charged strong (exact) calls are ``oracle_resolutions``.
     """
 
     decided_by_bounds: int = 0
@@ -96,7 +94,6 @@ class ResolverStats:
     vectorized_batches: int = 0
     dijkstra_runs: int = 0
     weak_calls: int = 0
-    strong_calls: int = 0
     weak_band: int = 0
     #: Distances answered as bounded-stretch estimates (``stretch > 1``)
     #: without resolving through the oracle.  Always 0 in exact mode.
@@ -341,7 +338,6 @@ class SmartResolver:
         self.stats.resolutions += 1
         if self.oracle.calls > before:
             self.stats.oracle_resolutions += 1
-            self.stats.strong_calls += 1
         else:
             self.stats.cached_resolutions += 1
         if self.graph.add_edge(i, j, value):
@@ -376,7 +372,6 @@ class SmartResolver:
                 self.stats.resolutions += len(unknown)
                 self.stats.batched_resolutions += len(unknown)
                 self.stats.oracle_resolutions += fresh
-                self.stats.strong_calls += fresh
                 self.stats.cached_resolutions += len(unknown) - fresh
                 for key in unknown:  # sorted — deterministic commit order
                     if self.graph.add_edge(*key, resolved[key]):

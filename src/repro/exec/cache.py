@@ -101,7 +101,7 @@ class SqliteCacheBackend(CacheBackend):
     Safe to share across processes: the ``sqlite3`` connection is opened
     lazily *per process* (a connection carried through ``fork`` or a
     pickle is unsafe to use from the child), and every connection sets a
-    busy timeout so concurrent write-through from several shards waits on
+    busy timeout so concurrent write-through from several processes waits on
     the file lock instead of raising ``database is locked``.
     """
 

@@ -108,7 +108,7 @@ class ExperimentRecord:
     @property
     def strong_calls(self) -> int:
         """Charged strong-tier (exact) calls classified by the resolver."""
-        return self.resolver_stats.strong_calls if self.resolver_stats else 0
+        return self.resolver_stats.oracle_resolutions if self.resolver_stats else 0
 
     @property
     def weak_band(self) -> int:

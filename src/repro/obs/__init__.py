@@ -4,7 +4,7 @@ One queryable surface for every counter the repo keeps.  The registry's
 numbers are exposed three ways:
 
 * ``GET /metrics`` (or ``{"op": "metrics"}``) on a running
-  :class:`~repro.service.server.ProximityServer`,
+  :class:`~repro.service.aserver.AsyncProximityServer`,
 * ``repro stats --snapshot`` on the CLI, and
 * a :class:`~repro.obs.sinks.MetricsSink` handed to
   :func:`~repro.harness.runner.run_experiment`.
@@ -29,9 +29,7 @@ from repro.obs.registry import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    merge_metrics,
     registry_totals,
-    relabel_metrics,
 )
 from repro.obs.sinks import CollectingSink, JsonlSink, MetricsSink
 from repro.obs.spans import Span, SpanTracer
@@ -53,10 +51,8 @@ __all__ = [
     "Span",
     "SpanTracer",
     "comparison_call_counter",
-    "merge_metrics",
     "oracle_call_counter",
     "publish_resolver_stats",
     "registry_totals",
-    "relabel_metrics",
     "resolver_stats_view",
 ]

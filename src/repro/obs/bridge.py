@@ -103,12 +103,6 @@ RESOLVER_METRICS: Tuple[Tuple[str, str, Dict[str, str], str], ...] = (
         "Charged weak-tier (banded estimate) oracle calls.",
     ),
     (
-        "strong_calls",
-        "repro_resolver_strong_calls_total",
-        {},
-        "Charged strong-tier (exact) oracle calls.",
-    ),
-    (
         "weak_band",
         "repro_resolver_weak_band_total",
         {},

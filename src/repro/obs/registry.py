@@ -552,83 +552,6 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-def relabel_metrics(text: str, labels: Mapping[str, str]) -> str:
-    """Inject extra labels into every sample of a Prometheus text page.
-
-    The sharded service renders each shard's registry *in the shard
-    process* and stamps ``{shard="k"}`` onto the samples here, so one
-    scrape of the front-end distinguishes every shard's counters.  ``HELP``
-    and ``TYPE`` lines pass through untouched; a sample that already has a
-    label block gets the new pairs prepended, a bare sample gains one.
-    """
-    extra = ",".join(
-        '%s="%s"' % (name, _escape_label_value(str(value)))
-        for name, value in labels.items()
-    )
-    if not extra:
-        return text
-    out: List[str] = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            out.append(line)
-            continue
-        sample, _, value = line.rpartition(" ")
-        if not sample:
-            out.append(line)
-            continue
-        if sample.endswith("}"):
-            name, _, label_body = sample.partition("{")
-            sample = "%s{%s,%s" % (name, extra, label_body)
-        else:
-            sample = "%s{%s}" % (sample, extra)
-        out.append("%s %s" % (sample, value))
-    return "\n".join(out) + ("\n" if text.endswith("\n") else "")
-
-
-def merge_metrics(pages: Sequence[str]) -> str:
-    """Concatenate Prometheus text pages, deduplicating HELP/TYPE headers.
-
-    Samples from later pages for an already-seen family are grouped under
-    the first page's header block (the text format allows each ``# TYPE``
-    at most once per exposition).  Use together with
-    :func:`relabel_metrics` so same-name samples stay distinguishable.
-    """
-    order: List[str] = []
-    headers: Dict[str, List[str]] = {}
-    samples: Dict[str, List[str]] = {}
-    for page in pages:
-        for line in page.splitlines():
-            if not line:
-                continue
-            if line.startswith("# HELP ") or line.startswith("# TYPE "):
-                family = line.split(" ", 3)[2]
-                if family not in headers:
-                    headers[family] = []
-                    samples[family] = []
-                    order.append(family)
-                if line not in headers[family]:
-                    headers[family].append(line)
-                continue
-            family = line.split("{", 1)[0].split(" ", 1)[0]
-            # Histogram samples (_bucket/_sum/_count) belong to their base
-            # family's block when one exists.
-            for suffix in ("_bucket", "_sum", "_count"):
-                base = family[: -len(suffix)] if family.endswith(suffix) else None
-                if base and base in headers:
-                    family = base
-                    break
-            if family not in headers:
-                headers[family] = []
-                samples[family] = []
-                order.append(family)
-            samples[family].append(line)
-    lines: List[str] = []
-    for family in order:
-        lines.extend(headers[family])
-        lines.extend(samples[family])
-    return "\n".join(lines) + "\n"
-
-
 def registry_totals(snapshot: Mapping[str, float], prefix: str) -> float:
     """Sum every sample in ``snapshot`` whose name starts with ``prefix``.
 

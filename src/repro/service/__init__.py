@@ -10,7 +10,7 @@ Every engine carries a :class:`~repro.obs.registry.MetricsRegistry`
 as a scrapeable HTTP ``GET /metrics``.
 """
 
-from repro.service.aserver import AsyncProximityServer, engine_backend
+from repro.service.aserver import AsyncProximityServer
 from repro.service.engine import (
     DEFAULT_JOB_WORKERS,
     EngineStats,
@@ -26,13 +26,7 @@ from repro.service.jobs import (
     TERMINAL_STATUSES,
 )
 from repro.service.queue import JobQueue
-from repro.service.server import (
-    ProximityServer,
-    handle_engine_request,
-    parse_target,
-    send_request,
-)
-from repro.service.sharding import ShardedEngine, ShardPlan, plan_shards
+from repro.service.server import handle_engine_request, parse_target, send_request
 
 __all__ = [
     "AsyncProximityServer",
@@ -45,14 +39,9 @@ __all__ = [
     "JobSpec",
     "JobStatus",
     "ProximityEngine",
-    "ProximityServer",
-    "ShardPlan",
-    "ShardedEngine",
     "TERMINAL_STATUSES",
-    "engine_backend",
     "handle_engine_request",
     "parse_target",
-    "plan_shards",
     "send_request",
     "space_fingerprint",
 ]

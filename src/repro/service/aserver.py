@@ -1,23 +1,20 @@
 """Asyncio front-end: one event loop, many slow jobs, two transports.
 
-The threaded :class:`~repro.service.server.ProximityServer` spends one OS
-thread per connection; this server multiplexes every connection — Unix
-socket *and* TCP — onto a single event loop, which is the right shape for
-"millions of users" traffic: connections are cheap, and the expensive part
-(running a job against the engine) is pushed onto a bounded worker pool so
-the loop never blocks.
+The server multiplexes every connection — Unix socket *and* TCP — onto a
+single event loop: connections are cheap, and the expensive part (running a
+job against the engine) is pushed onto a bounded worker pool so the loop
+never blocks.  One :class:`~repro.service.engine.ProximityEngine` sits
+behind it; overlapping slow oracle calls is the engine's job (its oracle
+executor), not the front-end's.
 
-The wire protocol is unchanged: JSON-lines requests (``submit`` / ``stats``
-/ ``metrics`` / ``snapshot`` / ``ping``) answered one line per request,
-plus just enough HTTP that ``curl http://host:port/metrics`` (or the
-``--unix-socket`` variant) scrapes Prometheus text.
-
-The server fronts any *backend* exposing ``handle_request(dict) -> dict``
-and ``render_metrics() -> str``: a single
-:class:`~repro.service.engine.ProximityEngine` (wrapped via
-:func:`engine_backend`) or a
-:class:`~repro.service.sharding.ShardedEngine` coordinator, which is how
-the sharded topology gets its network face.
+The wire protocol is the JSON-lines one of :mod:`repro.service.server`,
+answered one line per request by
+:func:`~repro.service.server.handle_engine_request`.  The handler also
+speaks just enough HTTP that ``curl http://host:port/metrics`` (or
+``curl --unix-socket <sock> http://localhost/metrics``) scrapes the
+Prometheus text: a request line starting with ``GET`` (or ``HEAD``) is
+answered with an HTTP/1.0 response — ``/metrics`` serves the registry,
+anything else a 404 — and the connection closes.
 
 The event loop runs on a dedicated background thread, so synchronous code
 (the CLI, tests) can start/stop the server without itself being async.
@@ -27,49 +24,20 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, List, Optional
 
 from repro.service.engine import ProximityEngine
 from repro.service.server import handle_engine_request
 
-#: Worker threads that execute backend requests off the event loop.
+#: Worker threads that execute engine requests off the event loop.
 DEFAULT_DISPATCH_WORKERS = 8
 
 
-class RequestBackend(Protocol):
-    """What the async server needs from whatever it fronts."""
-
-    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Answer one protocol request."""
-        ...
-
-    def render_metrics(self) -> str:
-        """Prometheus text exposition for ``GET /metrics``."""
-        ...
-
-
-class _EngineBackend:
-    """Adapt a single :class:`ProximityEngine` to the backend protocol."""
-
-    def __init__(self, engine: ProximityEngine) -> None:
-        self.engine = engine
-
-    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return handle_engine_request(self.engine, request)
-
-    def render_metrics(self) -> str:
-        return self.engine.render_metrics()
-
-
-def engine_backend(engine: ProximityEngine) -> RequestBackend:
-    """Wrap an engine for :class:`AsyncProximityServer`."""
-    return _EngineBackend(engine)
-
-
 class AsyncProximityServer:
-    """Serve a backend over asyncio on Unix and/or TCP transports.
+    """Serve an engine over asyncio on Unix and/or TCP transports.
 
     Pass ``socket_path`` for a Unix listener, ``host``/``port`` for TCP, or
     both; ``port=0`` binds an ephemeral port (read it back from
@@ -78,18 +46,16 @@ class AsyncProximityServer:
 
     def __init__(
         self,
-        backend: RequestBackend,
+        engine: ProximityEngine,
         *,
         socket_path: Optional[str] = None,
         host: Optional[str] = None,
         port: Optional[int] = None,
         dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
     ) -> None:
-        if isinstance(backend, ProximityEngine):
-            backend = engine_backend(backend)
         if socket_path is None and port is None:
             raise ValueError("configure a Unix socket path, a TCP port, or both")
-        self.backend = backend
+        self.engine = engine
         self.socket_path = None if socket_path is None else str(socket_path)
         self.host = host or "127.0.0.1"
         self.port = port
@@ -109,7 +75,7 @@ class AsyncProximityServer:
         loop = asyncio.get_running_loop()
         try:
             return await loop.run_in_executor(
-                self._dispatch, self.backend.handle_request, request
+                self._dispatch, handle_engine_request, self.engine, request
             )
         except Exception as exc:  # noqa: BLE001 - protocol errors answer, not crash
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -170,7 +136,7 @@ class AsyncProximityServer:
         if path == "/metrics":
             loop = asyncio.get_running_loop()
             text = await loop.run_in_executor(
-                self._dispatch, self.backend.render_metrics
+                self._dispatch, self.engine.render_metrics
             )
             status = "200 OK"
             body = text.encode("utf-8")
@@ -264,8 +230,6 @@ class AsyncProximityServer:
             self._thread = None
         self._dispatch.shutdown(wait=False, cancel_futures=True)
         if self.socket_path is not None:
-            import os
-
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
 

@@ -301,7 +301,6 @@ class _JobResolver(SmartResolver):
                     self.stats.resolutions += 1
                     if self.oracle.calls > before:
                         self.stats.oracle_resolutions += 1
-                        self.stats.strong_calls += 1
                         rt.charged += 1
                         rt.touched.add(key)
                     else:
@@ -387,6 +386,8 @@ class EngineStats:
     mutations_applied: int = 0
     #: Live standing-query subscriptions.
     subscriptions_active: int = 0
+    #: True when the engine serves a mutable object set (mutation verbs on).
+    dynamic: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly dict (used by the socket server's ``stats`` op)."""
@@ -1056,10 +1057,6 @@ class ProximityEngine:
             return result
         with self._rw.write_locked():
             with self._oracle_lock:
-                if self.graph.store is not None:
-                    # A bound CSR store mirrors an append-only history; a
-                    # mutating engine owns its graph outright.
-                    self.graph.detach_store()
                 for mut in batch:
                     if mut.kind == "remove":
                         obj_id = int(mut.obj_id)
@@ -1252,8 +1249,7 @@ class ProximityEngine:
 
         A mutable space recomputes its state-derived fingerprint (so
         snapshots taken after a batch carry the post-mutation identity);
-        engines with an explicit fingerprint (sharded shards carry
-        plan-scoped ones) return it unchanged.
+        engines with an explicit fingerprint return it unchanged.
         """
         if self._fingerprint_from_space:
             own_fp = getattr(self.space, "fingerprint", None)
@@ -1352,55 +1348,6 @@ class ProximityEngine:
             self._m_restored.inc(added)
         return added
 
-    def adopt_store(
-        self, store, expected_fingerprint: Optional[str] = None
-    ) -> int:
-        """Seed the engine from a shared-memory CSR store, free of charge.
-
-        The shard-process warm start: attach a
-        :class:`~repro.core.csr_store.CSRStore` another process owns (or a
-        writable one this process created), merge its visible edges into
-        the graph and the oracle cache, and — when the store then exactly
-        mirrors the graph — bind it so ``graph.edge_arrays()`` serves the
-        shared columns zero-copy.  ``expected_fingerprint`` overrides
-        ``self.fingerprint`` for the metadata check (sharded engines carry
-        per-shard fingerprints while the store records the base dataset's).
-        Returns the number of newly added edges.
-        """
-        if store.n != self.oracle.n:
-            raise SnapshotMismatchError(
-                f"universe of {self.oracle.n}", f"universe of {store.n}"
-            )
-        expected = (
-            expected_fingerprint if expected_fingerprint is not None else self.fingerprint
-        )
-        theirs = store.metadata.get("fingerprint") if store.metadata else None
-        if expected is not None and theirs is not None and theirs != expected:
-            raise SnapshotMismatchError(expected, str(theirs))
-        added = 0
-        with self._rw.write_locked():
-            for i, j, w in store.iter_edges():
-                existing = self.graph.get(i, j)
-                if existing is not None and existing != w:
-                    raise SnapshotMismatchError(
-                        f"edge ({i},{j})={existing}", f"edge ({i},{j})={w}"
-                    )
-            with self._oracle_lock:
-                for i, j, w in store.iter_edges():
-                    self.oracle.seed(i, j, w)
-                    if self.graph.get(i, j) is None:
-                        self.graph.add_edge(i, j, w)
-                        self.bounder.notify_resolved(i, j, w)
-                        added += 1
-                if (
-                    self.graph.store is None
-                    and store.num_edges == self.graph.num_edges
-                ):
-                    self.graph.attach_store(store)
-        if added:
-            self._m_restored.inc(added)
-        return added
-
     def _on_edge(self, i: int, j: int, distance: float) -> None:
         # Runs under the exclusive lock (inside add_edge); keep it O(1).
         self._edges_since_snapshot += 1
@@ -1467,6 +1414,7 @@ class ProximityEngine:
                 + self._m_mutations["remove"].value
             ),
             subscriptions_active=self.subscriptions.active,
+            dynamic=callable(getattr(self.space, "insert", None)),
         )
 
     def render_metrics(self) -> str:

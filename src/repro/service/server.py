@@ -1,9 +1,9 @@
-"""A minimal local-socket front end for the proximity engine.
+"""The JSON-lines request protocol of the proximity engine.
 
-One engine process can serve queries from other processes on the same
-machine over a Unix domain socket with a JSON-lines protocol: each request
-is one JSON object on one line, each response one JSON object on one line.
-Operations:
+Each request is one JSON object on one line, each response one JSON object
+on one line.  :class:`~repro.service.aserver.AsyncProximityServer` carries
+the protocol over Unix sockets and TCP; :func:`handle_engine_request`
+answers it and :func:`send_request` is the matching client.  Operations:
 
 ``{"op": "submit", "spec": {...}}``
     Build a :class:`~repro.service.jobs.JobSpec` from ``spec``, run it to
@@ -30,27 +30,17 @@ Operations:
     Poll a subscription's entered/left/reordered deltas past a sequence
     cursor, plus its current registered result.  ``unsubscribe`` drops it.
 
-The handler additionally speaks just enough HTTP that
-``curl --unix-socket <sock> http://localhost/metrics`` works: a request
-line starting with ``GET`` (or ``HEAD``) is answered with an HTTP/1.0
-response — ``/metrics`` serves the Prometheus text, anything else a 404 —
-and the connection closes.  That makes the registry scrapeable with stock
-tooling without pulling an HTTP framework into the repo.
-
-The server is deliberately not a scalability play — it exists so the
-``repro serve`` / ``repro submit`` CLI pair can demonstrate a *persistent*
-engine whose partial distance graph keeps compounding across independent
-client invocations, which is the whole point of the service layer.
+The ``repro serve`` / ``repro submit`` CLI pair uses this protocol to
+demonstrate a *persistent* engine whose partial distance graph keeps
+compounding across independent client invocations, which is the whole
+point of the service layer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import socket
-import socketserver
-import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.dynamic import Mutation
@@ -119,10 +109,8 @@ def mutation_from_dict(payload: Dict[str, Any]) -> Mutation:
 def handle_engine_request(engine: ProximityEngine, request: Dict[str, Any]) -> Dict[str, Any]:
     """Dispatch one protocol request against an engine.
 
-    The transport-independent core of the op surface: the threaded Unix
-    server, the asyncio front-end (:mod:`repro.service.aserver`), and tests
-    all route through here.  Backends with their own dispatch (the sharded
-    coordinator) expose the same contract via their ``handle_request``.
+    The transport-independent core of the op surface: the asyncio
+    front-end (:mod:`repro.service.aserver`) and tests route through here.
     """
     op = request.get("op")
     if op == "ping":
@@ -209,110 +197,6 @@ def parse_target(target: str) -> Tuple[str, Any]:
         if port.isdigit():
             return "tcp", (host or "127.0.0.1", int(port))
     return "unix", text
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection: many JSON request lines, or one HTTP GET."""
-
-    def handle(self) -> None:
-        server: "ProximityServer" = self.server.proximity_server  # type: ignore[attr-defined]
-        while True:
-            raw = self.rfile.readline()
-            if not raw:
-                return
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(b"GET ") or line.startswith(b"HEAD "):
-                self._serve_http(server, line)
-                return  # HTTP/1.0 semantics: one request, then close
-            try:
-                response = server.handle_request(json.loads(line.decode("utf-8")))
-            except Exception as exc:  # noqa: BLE001 - protocol errors answer, not crash
-                response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
-
-    def _serve_http(self, server: "ProximityServer", request_line: bytes) -> None:
-        """Answer a raw HTTP request (``curl --unix-socket ... /metrics``)."""
-        parts = request_line.split()
-        target = parts[1].decode("utf-8", "replace") if len(parts) > 1 else ""
-        head_only = request_line.startswith(b"HEAD ")
-        # Drain the request headers so the client never sees a reset.
-        while True:
-            header = self.rfile.readline()
-            if not header or header in (b"\r\n", b"\n"):
-                break
-        path = target.split("?", 1)[0]
-        if path == "/metrics":
-            status = "200 OK"
-            body = server.engine.render_metrics().encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            status = "404 Not Found"
-            body = b"not found\n"
-            content_type = "text/plain; charset=utf-8"
-        head = (
-            "HTTP/1.0 %s\r\n"
-            "Content-Type: %s\r\n"
-            "Content-Length: %d\r\n"
-            "Connection: close\r\n"
-            "\r\n" % (status, content_type, len(body))
-        ).encode("ascii")
-        self.wfile.write(head if head_only else head + body)
-        self.wfile.flush()
-
-
-class _ThreadedUnixServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-
-class ProximityServer:
-    """Serve an engine over a Unix domain socket until :meth:`close`."""
-
-    def __init__(self, engine: ProximityEngine, socket_path: str) -> None:
-        self.engine = engine
-        self.socket_path = str(socket_path)
-        if os.path.exists(self.socket_path):
-            os.unlink(self.socket_path)
-        self._server = _ThreadedUnixServer(self.socket_path, _Handler)
-        self._server.proximity_server = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    # -- request dispatch ----------------------------------------------------
-
-    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return handle_engine_request(self.engine, request)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def serve_forever(self) -> None:
-        """Block serving requests until :meth:`close` (for CLI use)."""
-        self._server.serve_forever(poll_interval=0.1)
-
-    def start(self) -> "ProximityServer":
-        """Serve on a background thread (for tests and embedding)."""
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if os.path.exists(self.socket_path):
-            os.unlink(self.socket_path)
-
-    def __enter__(self) -> "ProximityServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 def send_request(

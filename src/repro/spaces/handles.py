@@ -9,8 +9,8 @@ on first use and memoises it, so a process-pool oracle tier pays
 construction once per worker, not once per batch.
 
 Determinism note: every factory in this codebase is seeded, so two
-processes building from the same handle hold *identical* spaces — the
-foundation of the byte-identical guarantee for sharded serving.
+processes building from the same handle hold *identical* spaces, so a
+process-pool oracle returns exactly the distances the parent would.
 """
 
 from __future__ import annotations

@@ -170,7 +170,7 @@ class TestTieredOracle:
             assert strong.calls == 0
             stats = resolver.collect_stats()
             assert stats.weak_calls == tiered.weak_calls > 0
-            assert stats.strong_calls == 0
+            assert stats.oracle_resolutions == 0
 
     def test_strong_fallback_on_inconclusive_bounds(self):
         strong = DistanceOracle(manhattan_1d, 10)
@@ -181,7 +181,7 @@ class TestTieredOracle:
             # so the strong tier must settle it, and the verdict is exact.
             assert resolver.less((0, 6), (0, 5)) is False
             assert strong.calls > 0
-            assert resolver.collect_stats().strong_calls == strong.calls
+            assert resolver.collect_stats().oracle_resolutions == strong.calls
 
 
 class TestInstrumentConvention:

@@ -130,5 +130,5 @@ class TestTieredIdentity:
         assert answers == baseline
         assert oracle.calls <= baseline_calls
         stats = resolver.collect_stats()
-        assert stats.strong_calls == oracle.calls
+        assert stats.oracle_resolutions == oracle.calls
         assert stats.weak_calls == tiered.weak_calls

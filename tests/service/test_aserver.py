@@ -111,7 +111,7 @@ class TestProtocolErrors:
 
     def test_handler_exception_answers_error(self, served):
         _, sock = served
-        # A submit spec without a kind raises inside the backend; the
+        # A submit spec without a kind raises inside the engine; the
         # connection must answer with ok=False rather than reset.
         reply = send_request(sock, {"op": "submit", "spec": {}})
         assert reply["ok"] is False

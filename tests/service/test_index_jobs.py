@@ -131,76 +131,6 @@ class TestPersistence:
             other.close(snapshot=False)
 
 
-class TestShardedRouting:
-    @pytest.fixture(scope="class")
-    def sharded(self):
-        from repro.datasets.facades import flickr_space
-        from repro.service import ShardedEngine
-        from repro.spaces.handles import handle_for
-
-        engine = ShardedEngine(
-            handle_for(flickr_space, n=40, dim=5, seed=13),
-            num_shards=2,
-            provider="tri",
-        )
-        yield engine
-        engine.close()
-
-    def test_sticky_owner_routing_end_to_end(self, sharded, tmp_path_factory):
-        # Round-robin ownership: two builds land on two different shards.
-        for name, graph in (("a", "hnsw"), ("b", "nsg")):
-            params = {"graph": graph, "name": name}
-            if graph == "hnsw":
-                params.update(m=4, ef=12)
-            else:
-                params.update(r=4, k=8)
-            result = sharded.run(JobSpec(kind="build_index", params=params))
-            assert result.ok, result.error
-        listing = sharded.handle_request({"op": "indexes"})
-        assert listing["indexes"] == ["a", "b"]
-        assert sorted(listing["owners"].values()) == [0, 1]
-
-        # Searches route to the shard that built the graph.
-        for name in ("a", "b"):
-            found = sharded.run(
-                JobSpec(kind="search_index", params={"query": 3, "k": 4, "name": name})
-            )
-            assert found.ok and len(found.value) == 4
-        ordinal = sharded.run(JobSpec(
-            kind="search_index",
-            params={"query": 3, "k": 4, "name": "a", "mode": "comparison"},
-        ))
-        assert ordinal.ok and len(ordinal.value["ids"]) == 4
-
-        with pytest.raises(ValueError, match="no shard owns"):
-            sharded.run(
-                JobSpec(kind="search_index", params={"query": 3, "k": 4, "name": "zzz"})
-            )
-
-        # Restore into a fresh coordinator rebuilds the owner map.
-        base = str(tmp_path_factory.mktemp("idx") / "warm")
-        sharded.snapshot(base)
-        from repro.datasets.facades import flickr_space
-        from repro.service import ShardedEngine
-        from repro.spaces.handles import handle_for
-
-        second = ShardedEngine(
-            handle_for(flickr_space, n=40, dim=5, seed=13),
-            num_shards=2,
-            provider="tri",
-        )
-        try:
-            second.restore(base)
-            listing = second.handle_request({"op": "indexes"})
-            assert listing["indexes"] == ["a", "b"]
-            found = second.run(
-                JobSpec(kind="search_index", params={"query": 3, "k": 4, "name": "b"})
-            )
-            assert found.ok and len(found.value) == 4
-        finally:
-            second.close()
-
-
 class TestServerOps:
     def test_build_index_op_builds_and_lists(self, engine):
         reply = handle_engine_request(
